@@ -76,11 +76,6 @@ type CommitRequest struct {
 	// Variant optionally overrides the daemon's default protocol
 	// variant: "basic", "pa", "pn", "pc".
 	Variant string `json:"variant,omitempty"`
-	// Codec optionally pins the wire codec the daemon must be speaking
-	// ("binary", "gob-stream", "gob-packet"); a mismatch is rejected
-	// with 409 so A/B measurements cannot be attributed to the wrong
-	// format.
-	Codec string `json:"codec,omitempty"`
 	// Ops are the transaction's typed key operations. When present,
 	// participants are resolved from the fleet shard map (the keys'
 	// owners) and Participants is ignored.
@@ -193,11 +188,8 @@ type ShardsResponse struct {
 // Error codes (machine-readable; the HTTP status carries the class).
 const (
 	// CodeBadRequest (400): malformed JSON, invalid op, unknown
-	// variant or codec name.
+	// variant name.
 	CodeBadRequest = "bad_request"
-	// CodeCodecMismatch (409): the request pinned a wire codec the
-	// daemon does not speak.
-	CodeCodecMismatch = "codec_mismatch"
 	// CodeUnknownShard (422): a key resolved to no owner, or a named
 	// participant is not a known fleet member.
 	CodeUnknownShard = "unknown_shard"

@@ -88,12 +88,8 @@ func RunLive(s Schedule) (*RunResult, error) {
 		return m, true
 	}
 	netOpts := []netsim.ChanOption{netsim.WithTransform(transform)}
-	if s.Codec != "" {
-		kind, err := protocol.ParseCodecKind(s.Codec)
-		if err != nil {
-			return nil, err
-		}
-		netOpts = append(netOpts, netsim.WithChanCodec(kind))
+	if s.Wire {
+		netOpts = append(netOpts, netsim.WithChanCodec())
 	}
 	net := netsim.NewChanNetwork(netOpts...)
 

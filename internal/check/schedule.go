@@ -51,13 +51,12 @@ type Schedule struct {
 	LossPermil int
 	LossWindow int
 
-	// Codec, when non-empty, makes the live engine round-trip every
-	// packet through the named wire codec ("binary", "gob-stream",
-	// "gob-packet"), so a replay exercises byte-level marshaling under
-	// the schedule's failure pattern. Empty (the seeded default)
+	// Wire makes the live engine round-trip every packet through the
+	// binary wire codec, so a replay exercises byte-level marshaling
+	// under the schedule's failure pattern. False (the seeded default)
 	// delivers packets in memory; the sim engine has no wire and
-	// ignores the pin.
-	Codec string
+	// ignores it.
+	Wire bool
 }
 
 // FromSeed expands a seed into a schedule. The mapping is pure: the
@@ -158,8 +157,8 @@ func (s Schedule) String() string {
 	if s.LossPermil > 0 {
 		out += fmt.Sprintf(" loss=%d‰(max %d)", s.LossPermil, s.LossWindow)
 	}
-	if s.Codec != "" {
-		out += " codec=" + s.Codec
+	if s.Wire {
+		out += " wire"
 	}
 	return out
 }

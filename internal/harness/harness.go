@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/analytic"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/wal"
@@ -463,37 +464,15 @@ type GroupCommitRow struct {
 }
 
 // GroupCommitTable measures physical log syncs for n transactions of
-// three forced writes each, across group sizes. It exercises the real
-// wal.GroupCommit batching with concurrent committers.
+// three forced writes each, across group sizes, through the real
+// wal.GroupCommit with all 3n forces issued concurrently.
 func GroupCommitTable(n int, sizes []int) ([]GroupCommitRow, error) {
 	var rows []GroupCommitRow
 	for _, m := range sizes {
-		store := wal.NewMemStore()
-		var log *wal.Log
-		if m <= 1 {
-			log = wal.New(store)
-		} else {
-			log = wal.New(store).WithPolicy(wal.NewGroupCommit(m, 2*time.Millisecond))
+		st, err := measureGroupCommit(n, m)
+		if err != nil {
+			return nil, err
 		}
-		done := make(chan error, n)
-		for i := 0; i < n; i++ {
-			go func(i int) {
-				var err error
-				for j := 0; j < 3; j++ { // prepared, committed, end-equivalent forces
-					if _, e := log.Force(wal.Record{Tx: fmt.Sprintf("t%d", i), Kind: "Force"}); e != nil {
-						err = e
-						break
-					}
-				}
-				done <- err
-			}(i)
-		}
-		for i := 0; i < n; i++ {
-			if err := <-done; err != nil {
-				return nil, err
-			}
-		}
-		st := log.Stats()
 		rows = append(rows, GroupCommitRow{
 			GroupSize:     m,
 			Transactions:  n,
@@ -503,6 +482,47 @@ func GroupCommitTable(n int, sizes []int) ([]GroupCommitRow, error) {
 		})
 	}
 	return rows, nil
+}
+
+// measureGroupCommit forces 3n records concurrently under groups of m
+// and returns the log's counters. The batch timer runs on a virtual
+// clock that advances only when every outstanding force has joined the
+// open batch, so batches close on size alone and only a final partial
+// batch waits for the timer. The sync count is then ceil(3n/m) however
+// the goroutines are scheduled; on a wall-clock timer a slow scheduler
+// fires extra partial batches.
+func measureGroupCommit(n, m int) (wal.Stats, error) {
+	log := wal.New(wal.NewMemStore())
+	var gc *wal.GroupCommit
+	sched := clock.NewVirtual()
+	if m > 1 {
+		gc = wal.NewGroupCommit(m, 2*time.Millisecond).WithScheduler(sched)
+		log.WithPolicy(gc)
+	}
+	total := 3 * n // prepared, committed, end-equivalent forces
+	errc := make(chan error, total)
+	for i := 0; i < total; i++ {
+		go func(tx int) {
+			_, err := log.Force(wal.Record{Tx: fmt.Sprintf("t%d", tx), Kind: "Force"})
+			errc <- err
+		}(i / 3)
+	}
+	poll := time.NewTicker(time.Millisecond)
+	defer poll.Stop()
+	for left := total; left > 0; {
+		select {
+		case err := <-errc:
+			if err != nil {
+				return wal.Stats{}, err
+			}
+			left--
+		case <-poll.C:
+			if gc != nil && gc.Pending() == left {
+				sched.Advance(2 * time.Millisecond)
+			}
+		}
+	}
+	return log.Stats(), nil
 }
 
 // RenderRows formats rows as a fixed-width table.

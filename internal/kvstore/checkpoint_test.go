@@ -174,9 +174,8 @@ func TestQuickCheckpointEquivalence(t *testing.T) {
 	}
 }
 
-func TestCheckpointFileStore(t *testing.T) {
-	path := t.TempDir() + "/ckpt.wal"
-	store, err := wal.OpenFileStore(path, wal.WithFsync(false))
+func TestCheckpointSegmentStore(t *testing.T) {
+	store, err := wal.OpenSegmentStore(t.TempDir(), wal.WithSegmentFsync(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,9 +193,9 @@ func TestCheckpointFileStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	if dropped == 0 {
-		t.Fatal("nothing dropped from the file store")
+		t.Fatal("nothing dropped from the segment store")
 	}
-	// The truncated file still recovers correctly.
+	// The truncated log still recovers correctly.
 	r, err := Recover("db", log, clock.NewVirtual())
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +203,7 @@ func TestCheckpointFileStore(t *testing.T) {
 	if v, _ := r.ReadCommitted("k"); v != "v9" {
 		t.Fatalf("k = %q", v)
 	}
-	// And the store remains usable for new appends after the rename.
+	// And the store remains usable for new appends after the rewrite.
 	id := tx(99)
 	s.Put(bg, id, "k", "post-ckpt")
 	s.Prepare(id)

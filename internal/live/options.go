@@ -34,11 +34,6 @@ func WithTimeout(vote, ack time.Duration) Option {
 	}
 }
 
-// WithTimeouts is the previous name of WithTimeout.
-//
-// Deprecated: use WithTimeout.
-func WithTimeouts(vote, ack time.Duration) Option { return WithTimeout(vote, ack) }
-
 // WithRetry installs the retransmission policy for vote collection,
 // decision delivery, and in-doubt inquiry. Zero fields take the
 // documented defaults.

@@ -1,7 +1,7 @@
 // Package netsim provides live (non-simulated) transports for the
 // commit protocol's wire packets: an in-process channel network with
 // injectable latency, loss, and partitions, and a real TCP network
-// using length-prefixed gob frames. The deterministic simulator in
+// using length-prefixed binary frames. The deterministic simulator in
 // internal/core has its own delivery machinery; these transports back
 // the live examples (examples/netcommit) and demonstrate that the
 // protocol vocabulary runs over a real network stack.
@@ -62,15 +62,14 @@ type ChanNetwork struct {
 	closed     bool
 }
 
-// wireCodec round-trips every delivered packet through a real wire
-// codec (see WithChanCodec). One encoder/decoder pair serves the whole
-// network under a mutex: frames decode in exactly the order they were
-// encoded, which is the same ordering contract a TCP connection gives
-// the stateful stream codec.
+// wireCodec round-trips every delivered packet through the binary
+// wire codec (see WithChanCodec). One encoder/decoder pair serves the
+// whole network under a mutex, so frames decode in exactly the order
+// they were encoded, as on one TCP connection.
 type wireCodec struct {
 	mu  sync.Mutex
-	enc protocol.Codec
-	dec protocol.Codec
+	enc *protocol.BinaryCodec
+	dec *protocol.BinaryCodec
 	buf []byte
 }
 
@@ -117,13 +116,13 @@ func WithTransform(t Transform) ChanOption {
 }
 
 // WithChanCodec makes the network encode and decode every delivered
-// packet through the given wire codec, so an in-process run (chaos
+// packet through the binary wire codec, so an in-process run (chaos
 // replay, profiling) exercises the same byte-level marshaling a TCP
 // deployment would. A packet the codec cannot round-trip is dropped
 // and the error surfaces from Send.
-func WithChanCodec(kind protocol.CodecKind) ChanOption {
+func WithChanCodec() ChanOption {
 	return func(n *ChanNetwork) {
-		n.wire = &wireCodec{enc: kind.New(), dec: kind.New()}
+		n.wire = &wireCodec{enc: protocol.NewBinaryCodec(), dec: protocol.NewBinaryCodec()}
 	}
 }
 

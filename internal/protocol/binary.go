@@ -6,18 +6,17 @@ import (
 	"sync"
 )
 
-// BinaryCodec is the hand-written wire format: a fixed little-endian
+// BinaryCodec is the wire format every transport speaks: a fixed
 // header, varint-length strings, and explicit per-field encoding for
-// every Message field. It exists because gob — even the streaming
-// variant that amortizes the type dictionary — pays a reflection walk
-// per frame (~1µs and 8 allocations to decode a two-message packet).
-// The commit hot path sends four flows per subordinate per
-// transaction, so the codec is multiplied into everything; the paper's
-// whole economy is making each flow cheap.
+// every Message field, with no reflection on either side. The commit
+// hot path sends four flows per subordinate per transaction, so the
+// codec is multiplied into everything; the paper's whole economy is
+// making each flow cheap.
 //
+// A byte stream opens with the one-byte Preamble, then carries frames.
 // Layout of one frame payload (after the transport's 4-byte big-endian
-// length prefix, which is shared by every codec so transports can
-// split, drop, and transform frames without understanding them):
+// length prefix, so transports can split, drop, and transform frames
+// without understanding them):
 //
 //	byte    version (binaryVersion)
 //	string  From            (uvarint length + bytes)
@@ -43,16 +42,22 @@ import (
 // transaction names that repeat on a connection and allocates only the
 // packet's []Message backing (taken from the shared message-slice
 // pool), so steady-state decode is at most one allocation per frame.
+// Empty strings and slices decode to their zero values ("" and nil).
 //
-// A BinaryCodec is bound to one connection like StreamCodec — the
-// intern table is per-connection state — but unlike gob streams each
-// frame is self-delimiting: decoding never depends on having seen
-// earlier frames, so a decode error condemns only because corruption
-// of a length-prefixed stream is not locally recoverable.
+// A BinaryCodec is bound to one connection — the intern table is
+// per-connection state — but each frame is self-delimiting: decoding
+// never depends on having seen earlier frames. A decode error still
+// condemns the connection, because corruption of a length-prefixed
+// stream is not locally recoverable.
 type BinaryCodec struct {
 	mu    sync.Mutex
 	names map[string]string
 }
+
+// Preamble is the byte a dialer writes before its first frame. An
+// acceptor whose first byte is anything else is not talking to a peer
+// of this protocol and drops the connection before reading a frame.
+const Preamble byte = 'B'
 
 // binaryVersion is the format version stamped on every frame. Bump it
 // when the layout changes; decoders reject versions they don't know.
@@ -134,8 +139,8 @@ func CutLenBytes(buf []byte) (field, rest []byte, ok bool) {
 	return rest[:n], rest[n:], true
 }
 
-// AppendFrame implements Codec: one length-prefixed frame carrying
-// pkt, appended to dst with no allocations beyond dst's own growth.
+// AppendFrame appends one length-prefixed frame carrying pkt to dst,
+// with no allocations beyond dst's own growth.
 func (c *BinaryCodec) AppendFrame(dst []byte, pkt Packet) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // length prefix, backfilled below
@@ -267,10 +272,11 @@ func (c *BinaryCodec) string(r *binReader) (string, error) {
 	return s, nil
 }
 
-// DecodeFrame implements Codec. The returned packet's strings are
-// interned per connection and its Messages slice comes from the shared
-// message pool; the frame's backing array may be reused by the caller
-// as soon as DecodeFrame returns.
+// DecodeFrame decodes one frame payload (without its length prefix).
+// The returned packet's strings are interned per connection and its
+// Messages slice comes from the shared message pool; the frame's
+// backing array may be reused by the caller as soon as DecodeFrame
+// returns.
 func (c *BinaryCodec) DecodeFrame(frame []byte) (Packet, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

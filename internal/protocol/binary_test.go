@@ -7,6 +7,36 @@ import (
 	"testing"
 )
 
+func testPacket(i int) Packet {
+	return Packet{
+		From: "C", To: fmt.Sprintf("S%d", i%3),
+		Messages: []Message{
+			{Type: MsgPrepare, Tx: fmt.Sprintf("C:%d", i), Presume: PresumeAbort},
+			{Type: MsgCommit, Tx: fmt.Sprintf("C:%d", i+1)},
+		},
+	}
+}
+
+// splitFrames cuts a concatenation of length-prefixed frames back into
+// payloads, as a transport's read loop would.
+func splitFrames(t *testing.T, wire []byte) [][]byte {
+	t.Helper()
+	var frames [][]byte
+	for len(wire) > 0 {
+		if len(wire) < 4 {
+			t.Fatalf("truncated length prefix: %d bytes left", len(wire))
+		}
+		n := binary.BigEndian.Uint32(wire)
+		wire = wire[4:]
+		if uint32(len(wire)) < n {
+			t.Fatalf("truncated frame: want %d, have %d", n, len(wire))
+		}
+		frames = append(frames, wire[:n])
+		wire = wire[n:]
+	}
+	return frames
+}
+
 // fullPacket exercises every Message field the wire format carries.
 func fullPacket() Packet {
 	return Packet{
@@ -76,28 +106,41 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// Decoded packets must be gob-identical: zero-length strings decode to
-// "" and zero-length slices to nil, exactly as gob produces them.
-func TestBinaryCodecGobParity(t *testing.T) {
-	pkt := fullPacket()
-	binWire, err := NewBinaryCodec().AppendFrame(nil, pkt)
+// Empty strings decode to "" and empty slices to nil: a packet whose
+// absent fields are zero values comes back deeply equal, and explicit
+// empty slices come back as nil.
+func TestBinaryCodecDecodesEmptyAsZero(t *testing.T) {
+	wire, err := NewBinaryCodec().AppendFrame(nil, fullPacket())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gobWire, err := PacketCodec{}.AppendFrame(nil, pkt)
+	got, err := NewBinaryCodec().DecodeFrame(splitFrames(t, wire)[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	binPkt, err := NewBinaryCodec().DecodeFrame(splitFrames(t, binWire)[0])
+	if want := fullPacket(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("decode differs from input:\n got %+v\nwant %+v", got, want)
+	}
+
+	empty := Packet{Messages: []Message{{Type: MsgData, Payload: []byte{}, Heuristics: []HeuristicReport{}}}}
+	wire, err = NewBinaryCodec().AppendFrame(nil, empty)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gobPkt, err := PacketCodec{}.DecodeFrame(splitFrames(t, gobWire)[0])
+	got, err = NewBinaryCodec().DecodeFrame(splitFrames(t, wire)[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(binPkt, gobPkt) {
-		t.Fatalf("binary and gob decode differ:\nbinary %+v\ngob    %+v", binPkt, gobPkt)
+	want := Packet{Messages: []Message{{Type: MsgData}}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("empty fields did not decode to zero values:\n got %#v\nwant %#v", got, want)
+	}
+	noMsgs, err := NewBinaryCodec().AppendFrame(nil, Packet{From: "a", Messages: []Message{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := NewBinaryCodec().DecodeFrame(splitFrames(t, noMsgs)[0]); err != nil || got.Messages != nil {
+		t.Fatalf("empty message list: got %#v, %v; want nil Messages", got.Messages, err)
 	}
 }
 
@@ -299,35 +342,6 @@ func TestMsgSlicePoolClearsAndBounds(t *testing.T) {
 	PutMsgSlice(got)
 }
 
-func TestParseCodecKind(t *testing.T) {
-	cases := map[string]CodecKind{
-		"": CodecBinary, "binary": CodecBinary,
-		"gob-stream": CodecStreamGob, "stream": CodecStreamGob, "gob": CodecStreamGob,
-		"gob-packet": CodecPacketGob, "packet": CodecPacketGob,
-	}
-	for in, want := range cases {
-		got, err := ParseCodecKind(in)
-		if err != nil || got != want {
-			t.Errorf("ParseCodecKind(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseCodecKind("xml"); err == nil {
-		t.Error("ParseCodecKind(xml) succeeded")
-	}
-	for _, k := range []CodecKind{CodecBinary, CodecStreamGob, CodecPacketGob} {
-		back, err := KindFromNegotiation(k.NegotiationByte())
-		if err != nil || back != k {
-			t.Errorf("negotiation round trip for %v: got %v, %v", k, back, err)
-		}
-		if k.New() == nil {
-			t.Errorf("%v.New() = nil", k)
-		}
-	}
-	if _, err := KindFromNegotiation(0x00); err == nil {
-		t.Error("KindFromNegotiation(0) succeeded")
-	}
-}
-
 func BenchmarkBinaryCodecEncode(b *testing.B) {
 	enc := NewBinaryCodec()
 	pkt := testPacket(1)
@@ -343,8 +357,8 @@ func BenchmarkBinaryCodecEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkBinaryCodecDecode is the BinaryCodec equivalent of
-// BenchmarkStreamCodecDecode: same packet shape, same framing walk.
+// BenchmarkBinaryCodecDecode decodes a pre-encoded stream of frames,
+// walking the length prefixes as a transport's read loop does.
 func BenchmarkBinaryCodecDecode(b *testing.B) {
 	enc, dec := NewBinaryCodec(), NewBinaryCodec()
 	var wire []byte

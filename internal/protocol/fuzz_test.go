@@ -1,40 +1,76 @@
 package protocol
 
 import (
+	"encoding/binary"
 	"reflect"
 	"testing"
 )
 
-// FuzzDecode ensures arbitrary bytes never panic the packet decoder —
-// a corrupted TCP frame must be droppable, not fatal.
+// cutFrame takes one length-prefixed frame off the front of data, as a
+// transport's read loop would. A prefix that is short or claims more
+// than remains yields whatever is left as the frame, so every input
+// reaches the decoder.
+func cutFrame(data []byte) (frame, rest []byte) {
+	if len(data) < 4 {
+		return data, nil
+	}
+	n := binary.BigEndian.Uint32(data)
+	data = data[4:]
+	if uint64(n) > uint64(len(data)) {
+		return data, nil
+	}
+	return data[:n], data[n:]
+}
+
+// FuzzDecode feeds arbitrary bytes to the decoder that reads every TCP
+// frame. One codec decodes two frames cut from the input in turn, so
+// per-connection state (the intern table) carries from one frame into
+// the next exactly as on a live connection. Decoding must never panic
+// — a corrupted frame must condemn its connection, not the process —
+// and any frame that decodes must re-encode and decode to an equal
+// packet.
 func FuzzDecode(f *testing.F) {
-	good, _ := (Packet{From: "A", To: "B", Messages: []Message{{Type: MsgPrepare, Tx: "A:1"}}}).Encode()
+	enc := NewBinaryCodec()
+	good, _ := enc.AppendFrame(nil, Packet{From: "A", To: "B", Messages: []Message{{Type: MsgPrepare, Tx: "A:1"}}})
+	good, _ = enc.AppendFrame(good, fullPacket())
 	f.Add(good)
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
 	f.Add([]byte{0xff, 0x00, 0x13, 0x37})
+	f.Add(good[:len(good)/2])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pkt, err := Decode(data) // must not panic
-		if err != nil {
-			return
-		}
-		// Whatever decoded must re-encode.
-		if _, err := pkt.Encode(); err != nil {
-			t.Fatalf("decoded packet failed to re-encode: %v", err)
+		dec := NewBinaryCodec()
+		first, rest := cutFrame(data)
+		second, _ := cutFrame(rest)
+		for i, frame := range [][]byte{first, second} {
+			pkt, err := dec.DecodeFrame(frame) // must not panic
+			if err != nil {
+				continue
+			}
+			wire, err := NewBinaryCodec().AppendFrame(nil, pkt)
+			if err != nil {
+				t.Fatalf("frame %d: decoded packet failed to re-encode: %v", i, err)
+			}
+			again, err := NewBinaryCodec().DecodeFrame(wire[4:])
+			if err != nil {
+				t.Fatalf("frame %d: re-encoded packet failed to decode: %v", i, err)
+			}
+			if !reflect.DeepEqual(again, pkt) {
+				t.Fatalf("frame %d: re-encode drift:\n got %+v\nwant %+v", i, again, pkt)
+			}
 		}
 	})
 }
 
-// FuzzBinaryVsGobRoundTrip is the differential oracle for the
-// hand-rolled wire format: the same packet encoded with BinaryCodec
-// and with the self-describing gob PacketCodec must decode to
-// identical values, and both must equal the input (normalized for the
-// one representational freedom both codecs share: empty strings and
-// slices decode to their zero value, never to a non-nil empty).
-func FuzzBinaryVsGobRoundTrip(f *testing.F) {
+// FuzzBinaryRoundTrip is the property test for the wire format: every
+// generated packet must decode to exactly the packet that was encoded.
+// Generated packets use nil, never empty, for absent payloads and
+// heuristics, because the format decodes both to nil (see
+// TestBinaryCodecDecodesEmptyAsZero).
+func FuzzBinaryRoundTrip(f *testing.F) {
 	// One seed per message type, plus empty-payload and heuristic
-	// variants — the corners where explicit field encoding and gob's
-	// reflection walk could diverge.
+	// variants — the corners where explicit field encoding is most
+	// likely to drift.
 	for mt := MsgData; mt <= MsgOutcome; mt++ {
 		f.Add("C", "S1", "C:1", "", uint8(mt), uint8(1), uint8(0), uint8(0), uint8(0), []byte(nil), "", uint8(0))
 	}
@@ -82,27 +118,16 @@ func FuzzBinaryVsGobRoundTrip(f *testing.F) {
 		m2.Payload = nil
 		want := Packet{From: from, To: to, Messages: []Message{m, m2}}
 
-		binFrame, err := bin.AppendFrame(nil, want)
+		frame, err := bin.AppendFrame(nil, want)
 		if err != nil {
 			t.Fatalf("binary encode: %v", err)
 		}
-		gobFrame, err := (PacketCodec{}).AppendFrame(nil, want)
-		if err != nil {
-			t.Fatalf("gob encode: %v", err)
-		}
-		binPkt, err := bin.DecodeFrame(binFrame[4:]) // strip length prefix
+		got, err := bin.DecodeFrame(frame[4:]) // strip length prefix
 		if err != nil {
 			t.Fatalf("binary decode: %v", err)
 		}
-		gobPkt, err := (PacketCodec{}).DecodeFrame(gobFrame[4:])
-		if err != nil {
-			t.Fatalf("gob decode: %v", err)
-		}
-		if !reflect.DeepEqual(binPkt, gobPkt) {
-			t.Fatalf("codec divergence:\n binary %+v\n    gob %+v", binPkt, gobPkt)
-		}
-		if !reflect.DeepEqual(binPkt, want) {
-			t.Fatalf("binary round-trip drift:\n got %+v\nwant %+v", binPkt, want)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("binary round-trip drift:\n got %+v\nwant %+v", got, want)
 		}
 	})
 }

@@ -16,11 +16,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			{Type: MsgData, Tx: "A:1", Payload: []byte("hello"), NewTx: "A:2"},
 		},
 	}
-	data, err := p.Encode()
+	wire, err := NewBinaryCodec().AppendFrame(nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(data)
+	got, err := NewBinaryCodec().DecodeFrame(wire[4:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeGarbage(t *testing.T) {
-	if _, err := Decode([]byte("not a gob stream")); err == nil {
+	if _, err := NewBinaryCodec().DecodeFrame([]byte("not a binary frame")); err == nil {
 		t.Fatal("decoding garbage succeeded")
 	}
 }
@@ -97,6 +97,7 @@ func TestTypeAndVoteStrings(t *testing.T) {
 
 // Property: every generated packet survives an encode/decode round trip.
 func TestQuickPacketRoundTrip(t *testing.T) {
+	enc, dec := NewBinaryCodec(), NewBinaryCodec()
 	prop := func(from, to, tx string, typ uint8, payload []byte, flags uint8) bool {
 		m := Message{
 			Type:         MsgType(int(typ) % 8),
@@ -110,15 +111,15 @@ func TestQuickPacketRoundTrip(t *testing.T) {
 			Vote:         VoteValue(int(flags) % 3),
 		}
 		p := Packet{From: from, To: to, Messages: []Message{m}}
-		data, err := p.Encode()
+		wire, err := enc.AppendFrame(nil, p)
 		if err != nil {
 			return false
 		}
-		got, err := Decode(data)
+		got, err := dec.DecodeFrame(wire[4:])
 		if err != nil {
 			return false
 		}
-		// gob treats nil and empty slices identically; normalize.
+		// The wire format decodes an empty payload as nil; normalize.
 		if len(p.Messages[0].Payload) == 0 {
 			p.Messages[0].Payload = nil
 			got.Messages[0].Payload = nil

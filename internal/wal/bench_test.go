@@ -2,7 +2,6 @@ package wal
 
 import (
 	"fmt"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,22 +22,6 @@ func BenchmarkAppendMem(b *testing.B) {
 func BenchmarkForceMem(b *testing.B) {
 	l := New(NewMemStore())
 	r := Record{Tx: "t", Node: "N", Kind: "Committed"}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Force(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkForceFileNoFsync(b *testing.B) {
-	s, err := OpenFileStore(filepath.Join(b.TempDir(), "bench.wal"), WithFsync(false))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	l := New(s)
-	r := Record{Tx: "t", Node: "N", Kind: "Committed", Data: []byte("0123456789abcdef")}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := l.Force(r); err != nil {

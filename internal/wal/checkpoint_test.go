@@ -1,9 +1,6 @@
 package wal
 
-import (
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 func TestCheckpointMemStore(t *testing.T) {
 	l := New(NewMemStore())
@@ -54,42 +51,5 @@ func TestCheckpointClosedLog(t *testing.T) {
 	l.Crash()
 	if _, _, err := l.Checkpoint(func(Record) bool { return true }); err == nil {
 		t.Fatal("checkpoint of crashed log succeeded")
-	}
-}
-
-func TestCheckpointFileStoreRewrite(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.wal")
-	s, err := OpenFileStore(path, WithFsync(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	l := New(s)
-	for i := 0; i < 8; i++ {
-		kind := "Drop"
-		if i%2 == 0 {
-			kind = "Keep"
-		}
-		if _, err := l.Force(Record{Tx: "t", Kind: kind}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	kept, dropped, err := l.Checkpoint(func(r Record) bool { return r.Kind == "Keep" })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kept != 4 || dropped != 4 {
-		t.Fatalf("kept=%d dropped=%d", kept, dropped)
-	}
-	// The rewritten file continues to accept appends.
-	if _, err := l.Force(Record{Tx: "t", Kind: "After"}); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := l.Records()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 5 || recs[4].Kind != "After" {
-		t.Fatalf("records = %+v", recs)
 	}
 }

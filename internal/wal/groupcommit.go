@@ -121,6 +121,18 @@ func (g *GroupCommit) fire(l *Log, b *groupBatch) {
 	close(b.done)
 }
 
+// Pending reports how many force requests wait in the open batch (0
+// when no batch is open). A driver on a virtual clock uses it to
+// advance time only once every outstanding request has joined.
+func (g *GroupCommit) Pending() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.cur == nil {
+		return 0
+	}
+	return g.count
+}
+
 // Batches reports how many batches have been fired.
 func (g *GroupCommit) Batches() int {
 	g.mu.Lock()

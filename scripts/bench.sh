@@ -3,10 +3,11 @@
 # WAL, lock manager, transport, and wire-codec benchmarks with a fixed
 # -benchtime/-count and writes BENCH_live.json mapping each benchmark
 # (package-qualified) to its ns/op, B/op, allocs/op, and any custom
-# metrics (commits/sec, p50_us, ...). The live ParallelMultiSub
-# benchmarks run an optimized and a baseline (single shard, no
-# coalescing, per-packet codec) variant, so one run records the
-# before/after pair the acceptance criteria compare.
+# metrics (commits/sec, p50_us, ...). The in-process live
+# ParallelMultiSub benchmark runs an optimized and a baseline (single
+# shard, no coalescing) variant, so one run records the before/after
+# pair the acceptance criteria compare; the TCP flavor runs the
+# optimized variant only, over the binary wire codec.
 #
 # Each benchmark runs COUNT times (default 3) and the written value is
 # the per-metric MEDIAN across runs: a single noisy neighbor or cold

@@ -47,7 +47,7 @@ fi
 
 echo "== fuzz smokes (10s each) =="
 go test -run='^$' -fuzz=FuzzDecode -fuzztime=10s ./internal/protocol
-go test -run='^$' -fuzz=FuzzBinaryVsGobRoundTrip -fuzztime=10s ./internal/protocol
+go test -run='^$' -fuzz=FuzzBinaryRoundTrip -fuzztime=10s ./internal/protocol
 go test -run='^$' -fuzz=FuzzParseTxID -fuzztime=10s ./internal/core
 
 echo "All checks passed."
