@@ -436,6 +436,12 @@ func (p *Participant) paxosAcceptLocked(st *txState, meta protocol.PaxosMeta, vo
 		}
 		st.paxBundled = true
 		p.paxosSendAcceptedLocked(st, meta.Leader, 0, insts, false)
+		if st.done && p.met != nil {
+			// The commit decision raced ahead of this bundle and left
+			// the node's cost entry open (see applyOutcome): only now
+			// is this acceptor's part of the closed form spent.
+			p.met.CostNodeDone(st.id, p.name)
+		}
 		return
 	}
 	// Recovery ballot: accept individually, durably, ack the proposer.
@@ -448,6 +454,16 @@ func (p *Participant) paxosAcceptLocked(st *txState, meta protocol.PaxosMeta, vo
 		return
 	}
 	p.paxosSendAcceptedLocked(st, meta.Leader, b, one, true)
+}
+
+// paxosBundlePendingLocked reports whether this node is a ballot-0
+// acceptor still waiting for some instance's accept before it can
+// force its bundle — the state in which a late ballot-0 accept still
+// completes the bundle after a commit decision (handlePaxosAccept).
+// Caller holds st.mu.
+func paxosBundlePendingLocked(st *txState, self string) bool {
+	return st.paxMeta != nil && indexOf(st.paxMeta.Acceptors, self) >= 0 &&
+		!st.paxBundled && st.paxPromised == 0 && len(st.paxAccepted) > 0
 }
 
 // paxosInstList snapshots the acceptor's accepted state in instance

@@ -231,7 +231,12 @@ func (p *Participant) applyOutcome(from string, m protocol.Message, commit bool)
 			out = "aborted"
 		}
 		p.met.CostOutcome(m.Tx, out, -1)
-		p.met.CostNodeDone(m.Tx, p.name)
+		// A Paxos acceptor whose bundle still awaits a late ballot-0
+		// accept has not spent its closed form yet; the bundle marks
+		// the entry done when it goes out (paxosAcceptLocked).
+		if !(commit && paxosBundlePendingLocked(st, p.name)) {
+			p.met.CostNodeDone(m.Tx, p.name)
+		}
 	}
 }
 
